@@ -32,6 +32,9 @@ class ChunkStore(ABC):
         #: inventory digest is cached against this counter, so heartbeats on
         #: an unchanged store never re-hash the full inventory.
         self._mutations = 0
+        #: Bytes of every stored payload, updated by ``put``/``delete`` once
+        #: the backend has acted, so space queries never walk the inventory.
+        self._used_bytes = 0
 
     # -- interface ---------------------------------------------------------
     @abstractmethod
@@ -55,8 +58,8 @@ class ChunkStore(ABC):
         """Every stored chunk id."""
 
     @abstractmethod
-    def _used(self) -> int:
-        """Bytes currently consumed."""
+    def _size(self, chunk_id: ChunkId) -> int:
+        """Payload length of ``chunk_id`` (raises KeyError if missing)."""
 
     # -- public API -----------------------------------------------------------
     def put(self, chunk: Chunk) -> None:
@@ -68,12 +71,13 @@ class ChunkStore(ABC):
         with self._lock:
             if self._contains(chunk.chunk_id):
                 return
-            if self._used() + chunk.size > self.capacity:
+            if self._used_bytes + chunk.size > self.capacity:
                 raise StoreFullError(
-                    f"store over capacity: used={self._used()}, "
+                    f"store over capacity: used={self._used_bytes}, "
                     f"incoming={chunk.size}, capacity={self.capacity}"
                 )
             self._write(chunk.chunk_id, chunk.data)
+            self._used_bytes += chunk.size
             self._mutations += 1
 
     def get(self, chunk_id: ChunkId) -> Chunk:
@@ -87,7 +91,9 @@ class ChunkStore(ABC):
         with self._lock:
             if not self._contains(chunk_id):
                 return False
+            size = self._size(chunk_id)
             self._delete(chunk_id)
+            self._used_bytes -= size
             self._mutations += 1
             return True
 
@@ -102,12 +108,12 @@ class ChunkStore(ABC):
     @property
     def used_space(self) -> int:
         with self._lock:
-            return self._used()
+            return self._used_bytes
 
     @property
     def free_space(self) -> int:
         with self._lock:
-            return max(self.capacity - self._used(), 0)
+            return max(self.capacity - self._used_bytes, 0)
 
     @property
     def chunk_count(self) -> int:
@@ -164,8 +170,8 @@ class MemoryChunkStore(ChunkStore):
     def _chunk_ids(self) -> List[ChunkId]:
         return list(self._chunks)
 
-    def _used(self) -> int:
-        return sum(len(data) for data in self._chunks.values())
+    def _size(self, chunk_id: ChunkId) -> int:
+        return len(self._chunks[chunk_id])
 
 
 class DelayedChunkStore(MemoryChunkStore):
@@ -204,8 +210,8 @@ class DiskChunkStore(ChunkStore):
     the contributed directory alone, which is what lets benefactors
     re-advertise their holdings after a crash.  Content-addressed ids
     (``sha1:<hex>``) and position-addressed ids (``ds-1:v2:c3``) both
-    round-trip.  A small index of sizes avoids stat-ing every file to answer
-    space queries.
+    round-trip.  A small index of sizes avoids stat-ing a file to learn
+    how much space deleting it frees.
     """
 
     def __init__(self, root: str, capacity: int) -> None:
@@ -252,6 +258,7 @@ class DiskChunkStore(ChunkStore):
                 # Migrate a legacy file name to the reversible encoding.
                 os.replace(path, encoded)
             self._sizes[chunk_id] = os.path.getsize(encoded)
+        self._used_bytes = sum(self._sizes.values())
 
     def _read(self, chunk_id: ChunkId) -> bytes:
         with open(self._path(chunk_id), "rb") as handle:
@@ -275,5 +282,5 @@ class DiskChunkStore(ChunkStore):
     def _chunk_ids(self) -> List[ChunkId]:
         return list(self._sizes)
 
-    def _used(self) -> int:
-        return sum(self._sizes.values())
+    def _size(self, chunk_id: ChunkId) -> int:
+        return self._sizes[chunk_id]

@@ -68,10 +68,20 @@ class ChunkMap:
 
     # -- construction -----------------------------------------------------
     def append(self, ref: ChunkRef, benefactors: Sequence[BenefactorId] = ()) -> ChunkPlacement:
-        """Append a chunk placement (keeps offset ordering)."""
+        """Append a chunk placement (keeps offset ordering).
+
+        In-order appends, the only order a writer produces, cost O(1); an
+        out-of-order one is inserted after every placement at the same or a
+        lower offset, the order a stable sort of the whole list would give.
+        """
         placement = ChunkPlacement(ref=ref, benefactors=list(benefactors))
-        self._placements.append(placement)
-        self._sort()
+        if not self._starts or ref.offset >= self._starts[-1]:
+            self._placements.append(placement)
+            self._starts.append(ref.offset)
+        else:
+            index = bisect_right(self._starts, ref.offset)
+            self._placements.insert(index, placement)
+            self._starts.insert(index, ref.offset)
         return placement
 
     def extend(self, placements: Iterable[ChunkPlacement]) -> None:

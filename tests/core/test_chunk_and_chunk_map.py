@@ -182,6 +182,37 @@ class TestChunkMap:
         assert "b9" in chunk_map.placement_for("c0").benefactors
         assert "b9" not in chunk_map.placement_for("c1").benefactors
 
+    @given(
+        extents=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=64),
+                      st.integers(min_value=1, max_value=16)),
+            max_size=40,
+        ),
+        in_order=st.booleans(),
+        ranges=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=90),
+                      st.integers(min_value=0, max_value=40)),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_append_matches_one_shot_construction(self, extents, in_order, ranges):
+        # Repeated offsets are allowed on purpose: both paths must keep
+        # equal-offset placements in the order they were appended.
+        if in_order:
+            extents = sorted(extents, key=lambda extent: extent[0])
+        refs = [ChunkRef(f"c{index}", offset, length)
+                for index, (offset, length) in enumerate(extents)]
+        built = ChunkMap()
+        for ref in refs:
+            built.append(ref)
+        one_shot = ChunkMap(ChunkPlacement(ref) for ref in refs)
+        assert [p.ref for p in built] == [p.ref for p in one_shot]
+        assert built._starts == one_shot._starts
+        for offset, length in ranges:
+            assert (built.covering_indices(offset, length)
+                    == one_shot.covering_indices(offset, length))
+
 
 class TestShadowChunkMap:
     def test_assign_accumulates_without_duplicates(self):
