@@ -339,9 +339,12 @@ class Benefactor(Endpoint):
 
         Batching amortizes the per-call transport cost for small chunks; the
         background replication path uses it to ship whole shadow chunk-maps
-        with one call per target.  Chunks are stored in order; a failure
-        (integrity, store full) aborts the remainder and reports how far the
-        batch got so the caller can retry elsewhere.
+        with one call per target, and clients push their batches of small
+        chunks with it.  Chunks are stored in order; a failure aborts the
+        remainder and reports how far the batch got (``failed_at``) and why
+        (``error``, the exception's class name, e.g. ``StoreFullError`` or
+        ``ChunkIntegrityError``), so the caller can retry a full store's
+        remainder elsewhere and treat bad bytes as an error.
         """
         self._require_online()
         stored: List[ChunkId] = []
@@ -352,16 +355,18 @@ class Benefactor(Endpoint):
                 chunk.verify()
                 with self._store_put_timer.time():
                     self.store.put(chunk)
-            except Exception:
+            except Exception as exc:  # noqa: BLE001 - reported to the caller
                 return {
                     "stored": stored,
                     "failed_at": chunk_id,
+                    "error": type(exc).__name__,
                     "free_space": self.store.free_space,
                 }
             self._bump("puts")
             self._bump("bytes_in", chunk.size)
             stored.append(chunk.chunk_id)
-        return {"stored": stored, "failed_at": None, "free_space": self.store.free_space}
+        return {"stored": stored, "failed_at": None, "error": None,
+                "free_space": self.store.free_space}
 
     def get_chunk(self, chunk_id: ChunkId) -> bytes:
         """Return the payload of one chunk."""

@@ -8,14 +8,24 @@ replication), skips chunks that incremental checkpointing proves are already
 stored, handles benefactor failures by refreshing the stripe through the
 manager, and accumulates the chunk-map that will be committed at close time.
 
-Pipelining (section IV.B): with ``push_parallelism > 1`` the pusher dispatches
-chunk pushes through a bounded in-flight window backed by a thread pool, so
-chunk production (spooling, hashing) overlaps propagation to benefactors and
-several benefactors of the stripe receive data concurrently.  ``feed`` blocks
-only when the window is full, which bounds client memory at
-``max_inflight_chunks`` chunk payloads.  With the default
-``push_parallelism == 1`` the data path is fully synchronous, one RPC at a
-time, exactly as before.
+Batching (section IV.B moves data in ~1 MB transfer units): chunks that
+must be pushed collect in a pending batch until its payload reaches
+``min(1 MiB, window_buffer_size)`` (or the session finishes).  The batch
+then splits by round-robin slot into one *group* per benefactor, and each
+group travels as one RPC: ``put_chunks`` for several chunks, plain
+``put_chunk`` for a group of one, so 1 MiB chunks still go one per call.
+A chunk repeated inside the batch is pushed once and takes the holders of
+the pending push.
+
+Pipelining: with ``push_parallelism > 1`` the groups are the items of a
+thread pool, each capped at ``effective_inflight_window // push_parallelism``
+chunks, and a bounded window admits at most ``max_inflight_chunks`` chunks
+in flight, so chunk production (spooling, hashing) overlaps propagation and
+every worker has a group to push.  ``feed`` blocks only when the window is
+full.  Client memory is bounded by the pending batch plus the in-flight
+window (serially: the batch plus one chunk).  With the default
+``push_parallelism == 1`` every group is pushed synchronously, one RPC at a
+time.
 """
 
 from __future__ import annotations
@@ -23,13 +33,14 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chunk import Chunk, ChunkRef, content_chunk_id, opaque_chunk_id
 from repro.core.chunk_map import ChunkMap
 from repro.exceptions import (
     BenefactorOfflineError,
+    ChunkIntegrityError,
     EndpointUnreachableError,
     StdchkError,
     StoreFullError,
@@ -38,6 +49,11 @@ from repro.exceptions import (
 from repro.obs import MetricsRegistry, tracing
 from repro.transport.base import Transport
 from repro.util.config import SimilarityHeuristic, StdchkConfig, WriteSemantics
+from repro.util.units import MiB
+
+#: Payload bytes a pending batch collects before it is pushed (the paper's
+#: ~1 MB transfer unit); ``window_buffer_size`` caps it further.
+PUSH_BATCH_BYTES = 1 * MiB
 
 
 @dataclass
@@ -52,6 +68,8 @@ class WriteStats:
     push_failures: int = 0
     stripe_refreshes: int = 0
     ack_batches: int = 0
+    #: ``put_chunk``/``put_chunks`` RPCs issued, failed attempts included.
+    push_rpcs: int = 0
 
     @property
     def network_effort(self) -> int:
@@ -64,6 +82,17 @@ class WriteStats:
         if self.bytes_written == 0:
             return 0.0
         return self.bytes_deduplicated / self.bytes_written
+
+
+@dataclass
+class _PendingChunk:
+    """A chunk awaiting its push, with the later copies of it in its batch."""
+
+    chunk: Chunk
+    ref: ChunkRef
+    index: int
+    #: ``(index, ref)`` of repeats that take this push's holders.
+    repeats: List[Tuple[int, ChunkRef]] = field(default_factory=list)
 
 
 class ChunkPusher:
@@ -101,6 +130,11 @@ class ChunkPusher:
         self._next_chunk_index = 0
         self._next_offset = 0
         self._pending = bytearray()
+        #: Chunks awaiting their push, in index order, and their ids.
+        self._batch: List[_PendingChunk] = []
+        self._batch_ids: Dict[str, _PendingChunk] = {}
+        self._batch_bytes = 0
+        self._batch_limit = min(PUSH_BATCH_BYTES, config.window_buffer_size)
 
         #: Guards stripe, stats, known chunks, results and the ack buffer.
         self._lock = threading.Lock()
@@ -120,11 +154,11 @@ class ChunkPusher:
         if metrics is not None:
             self._push_timer = metrics.histogram(
                 "client_push_chunk_seconds",
-                "Latency of one chunk push incl. replication and retries.",
+                "Latency of one chunk-group push incl. replication and retries.",
             )
             self._push_window = metrics.windowed_histogram(
                 "client_push_chunk_seconds_window",
-                "Recent (sliding-window) chunk push latency.",
+                "Recent (sliding-window) chunk-group push latency.",
             )
         else:
             self._push_timer = None
@@ -134,12 +168,16 @@ class ChunkPusher:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._window: Optional[threading.BoundedSemaphore] = None
         self._futures: List[Future] = []
+        #: Most chunks one parallel group carries; serially groups are whole.
+        self._group_cap: Optional[int] = None
         if self.parallelism > 1:
             self._executor = ThreadPoolExecutor(
                 max_workers=self.parallelism,
                 thread_name_prefix=f"push-{self.session_id}",
             )
-            self._window = threading.BoundedSemaphore(config.effective_inflight_window)
+            window = config.effective_inflight_window
+            self._window = threading.BoundedSemaphore(window)
+            self._group_cap = max(1, window // self.parallelism)
 
     # -- public stream interface ---------------------------------------------
     @property
@@ -152,29 +190,39 @@ class ChunkPusher:
         return self.stats.bytes_written
 
     def feed(self, data: bytes, flush: bool = False) -> None:
-        """Accept application bytes; push every complete chunk immediately.
+        """Accept application bytes; queue every complete chunk for pushing.
 
-        ``flush`` forces the trailing partial chunk out as well (used at
-        close time and when a protocol rotates its temporary file).
+        With no partial chunk buffered, whole chunks are sliced straight
+        from ``data`` (one copy each) and only the tail is buffered, so a
+        whole image handed over at once is never copied in full.  ``flush``
+        forces the trailing partial chunk and the pending batch out and
+        waits for every push in flight.
         """
         self.stats.bytes_written += len(data)
-        self._pending.extend(data)
-        while len(self._pending) >= self.chunk_size:
-            payload = bytes(self._pending[: self.chunk_size])
-            del self._pending[: self.chunk_size]
-            self._emit(payload)
-        if flush and self._pending:
-            payload = bytes(self._pending)
-            self._pending.clear()
-            self._emit(payload)
+        if self._pending:
+            # Top up the buffered partial chunk.
+            self._pending.extend(data)
+            while len(self._pending) >= self.chunk_size:
+                payload = bytes(self._pending[: self.chunk_size])
+                del self._pending[: self.chunk_size]
+                self._emit(payload)
+        else:
+            view = memoryview(data)
+            whole = len(view) - len(view) % self.chunk_size
+            for start in range(0, whole, self.chunk_size):
+                self._emit(bytes(view[start:start + self.chunk_size]))
+            self._pending.extend(view[whole:])
+        if flush:
+            self._emit_pending()
+            self._flush_batch()
+            self._settle()
+            self._raise_if_failed()
 
     def finish(self) -> ChunkMap:
         """Flush the trailing chunk, wait for all in-flight pushes, and
         return the completed chunk-map (ordered by file offset)."""
-        if self._pending:
-            payload = bytes(self._pending)
-            self._pending.clear()
-            self._emit(payload)
+        self._emit_pending()
+        self._flush_batch()
         self._drain()
         self._flush_acks()
         self._raise_if_failed()
@@ -186,11 +234,18 @@ class ChunkPusher:
 
     def cancel(self) -> None:
         """Abandon in-flight pushes (session abort path)."""
+        self._batch, self._batch_ids, self._batch_bytes = [], {}, 0
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
     # -- chunk emission ------------------------------------------------------
+    def _emit_pending(self) -> None:
+        if self._pending:
+            payload = bytes(self._pending)
+            self._pending.clear()
+            self._emit(payload)
+
     def _emit(self, payload: bytes) -> None:
         if self._content_addressed:
             chunk = Chunk(chunk_id=content_chunk_id(payload), data=payload)
@@ -207,69 +262,104 @@ class ChunkPusher:
         self._next_offset += len(payload)
 
         if self._content_addressed:
+            pending = self._batch_ids.get(chunk.chunk_id)
             with self._lock:
                 known = self._known_chunks.get(chunk.chunk_id)
-                if known:
+                if known or pending is not None:
                     # Incremental checkpointing: the chunk content already
-                    # lives in the pool; reference it copy-on-write instead
-                    # of pushing again.
-                    self._results[index] = (ref, list(known))
+                    # lives in the pool (or is about to); reference it
+                    # copy-on-write instead of pushing again.
+                    if known:
+                        self._results[index] = (ref, list(known))
+                    else:
+                        pending.repeats.append((index, ref))
                     self.stats.bytes_deduplicated += len(payload)
                     self.stats.chunks_deduplicated += 1
                     return
 
-        if self._executor is None:
-            self._push_task(chunk, ref, index)
-            self._raise_if_failed()
-            return
+        entry = _PendingChunk(chunk=chunk, ref=ref, index=index)
+        self._batch.append(entry)
+        if self._content_addressed:
+            self._batch_ids[chunk.chunk_id] = entry
+        self._batch_bytes += len(payload)
+        if self._batch_bytes >= self._batch_limit:
+            self._flush_batch()
 
+    def _flush_batch(self) -> None:
+        """Push the pending batch: one group per round-robin slot."""
+        batch = self._batch
+        if not batch:
+            return
+        self._batch, self._batch_ids, self._batch_bytes = [], {}, 0
+        with self._lock:
+            width = len(self._stripe)
+        groups: Dict[int, List[_PendingChunk]] = {}
+        for entry in batch:
+            groups.setdefault(entry.index % width, []).append(entry)
+        for slot, group in groups.items():
+            cap = self._group_cap or len(group)
+            for start in range(0, len(group), cap):
+                part = group[start:start + cap]
+                if self._executor is None:
+                    self._push_task(part, slot)
+                    self._raise_if_failed()
+                else:
+                    self._submit(part, slot)
+
+    def _submit(self, group: List[_PendingChunk], slot: int) -> None:
         self._raise_if_failed()
         assert self._window is not None
-        self._window.acquire()
+        for _ in group:
+            self._window.acquire()
         with self._lock:
             failed = self._failure is not None
         if failed:
-            self._window.release()
+            self._window.release(len(group))
             self._raise_if_failed()
-        self._futures.append(self._executor.submit(self._guarded_push, chunk, ref, index))
+        self._futures.append(self._executor.submit(self._guarded_push, group, slot))
 
-    def _guarded_push(self, chunk: Chunk, ref: ChunkRef, index: int) -> None:
+    def _guarded_push(self, group: List[_PendingChunk], slot: int) -> None:
         try:
-            self._push_task(chunk, ref, index)
+            self._push_task(group, slot)
         finally:
             assert self._window is not None
-            self._window.release()
+            self._window.release(len(group))
 
-    def _push_task(self, chunk: Chunk, ref: ChunkRef, index: int) -> None:
-        """Push one chunk and record its placement (worker entry point)."""
+    def _push_task(self, group: List[_PendingChunk], slot: int) -> None:
+        """Push one group and record its placements (worker entry point)."""
         with tracing.use_context(self._trace_ctx):
             if self._push_timer is None:
-                self._run_push(chunk, ref, index)
+                self._run_push(group, slot)
                 return
             started = time.perf_counter()
             try:
-                self._run_push(chunk, ref, index)
+                self._run_push(group, slot)
             finally:
                 elapsed = time.perf_counter() - started
                 self._push_timer.observe(elapsed)
                 self._push_window.observe(elapsed)
 
-    def _run_push(self, chunk: Chunk, ref: ChunkRef, index: int) -> None:
+    def _run_push(self, group: List[_PendingChunk], slot: int) -> None:
         try:
-            holders = self._push_with_replication(chunk, index)
+            holders = self._push_with_replication([e.chunk for e in group], slot)
         except BaseException as exc:  # noqa: BLE001 - surfaced via _raise_if_failed
             with self._lock:
                 if self._failure is None:
                     self._failure = exc
             return
         with self._lock:
-            self._results[index] = (ref, holders)
-            if self._content_addressed:
-                self._known_chunks.setdefault(chunk.chunk_id, list(holders))
-        self._queue_ack(ref, holders)
+            for entry in group:
+                placed = holders[entry.chunk.chunk_id]
+                self._results[entry.index] = (entry.ref, placed)
+                for index, ref in entry.repeats:
+                    self._results[index] = (ref, list(placed))
+                if self._content_addressed:
+                    self._known_chunks.setdefault(entry.chunk.chunk_id, list(placed))
+        for entry in group:
+            self._queue_ack(entry.ref, holders[entry.chunk.chunk_id])
 
-    def _drain(self) -> None:
-        """Wait for every submitted push to settle and retire the executor."""
+    def _settle(self) -> None:
+        """Wait for every submitted push to finish."""
         for future in self._futures:
             try:
                 future.result()
@@ -278,6 +368,10 @@ class ChunkPusher:
                     if self._failure is None:
                         self._failure = exc
         self._futures.clear()
+
+    def _drain(self) -> None:
+        """Wait for every submitted push to settle and retire the executor."""
+        self._settle()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -378,60 +472,100 @@ class ChunkPusher:
         with self._lock:
             return list(self._stripe), self._stripe_generation
 
-    def _push_once(self, chunk: Chunk, start_slot: int,
-                   skip: Sequence[str]) -> Tuple[Optional[Dict[str, str]], int]:
-        """Try pushing ``chunk`` to one benefactor, rotating through the stripe.
+    def _send(self, address: str, chunks: Sequence[Chunk]) -> int:
+        """One push RPC; returns how many of ``chunks`` (a prefix) were stored.
 
-        Returns the stripe entry that accepted the chunk (or None when every
-        candidate failed — the caller then refreshes the stripe) together
-        with the stripe generation the attempt ran against.
+        A group of one goes as ``put_chunk``, larger groups as
+        ``put_chunks``.  A batch that stopped on a full store reports the
+        stored prefix (the remainder may try another benefactor); a batch
+        that failed its integrity check raises, as ``put_chunk`` does.
+        """
+        with self._lock:
+            self.stats.push_rpcs += 1
+        if len(chunks) == 1:
+            chunk = chunks[0]
+            self.transport.call(address, "put_chunk",
+                                chunk_id=chunk.chunk_id, data=chunk.data)
+            return 1
+        answer = self.transport.call(
+            address, "put_chunks",
+            chunks=[{"chunk_id": c.chunk_id, "data": c.data} for c in chunks],
+        )
+        failed_at = answer["failed_at"]
+        if failed_at is None:
+            return len(chunks)
+        error = answer.get("error")
+        if error == StoreFullError.__name__:
+            return len(answer["stored"])
+        if error == ChunkIntegrityError.__name__:
+            raise ChunkIntegrityError(
+                f"chunk {failed_at} failed integrity check at {address}"
+            )
+        raise WriteFailedError(
+            f"put_chunks to {address} stopped at chunk {failed_at}: {error}"
+        )
+
+    def _push_once(self, chunks: Sequence[Chunk], start_slot: int,
+                   holders: Dict[str, List[str]]) -> Tuple[List[Chunk], int]:
+        """Push one more copy of each of ``chunks``, rotating through the stripe.
+
+        Each benefactor gets the chunks it does not hold yet in one RPC; an
+        unreachable, offline or full one is reported and what it did not
+        store moves on to the next slot.  Returns the chunks every candidate
+        failed (the caller then refreshes the stripe) together with the
+        stripe generation the attempt ran against.
         """
         stripe, generation = self._stripe_snapshot()
+        remaining = list(chunks)
         for probe in range(len(stripe)):
             entry = stripe[(start_slot + probe) % len(stripe)]
-            if entry["benefactor_id"] in skip:
+            target = entry["benefactor_id"]
+            eligible = [c for c in remaining if target not in holders[c.chunk_id]]
+            if not eligible:
                 continue
             try:
-                self.transport.call(
-                    entry["address"],
-                    "put_chunk",
-                    chunk_id=chunk.chunk_id,
-                    data=chunk.data,
-                )
-                return entry, generation
+                stored = self._send(entry["address"], eligible)
             except (EndpointUnreachableError, BenefactorOfflineError, StoreFullError):
+                stored = 0
+            if stored < len(eligible):
                 with self._lock:
                     self.stats.push_failures += 1
-                self._report_failure(entry["benefactor_id"])
+                self._report_failure(target)
+            if stored == 0:
                 continue
-        return None, generation
+            placed = eligible[:stored]
+            for chunk in placed:
+                holders[chunk.chunk_id].append(target)
+            with self._lock:
+                self.stats.bytes_pushed += sum(chunk.size for chunk in placed)
+                self.stats.chunks_pushed += stored
+            placed_ids = {chunk.chunk_id for chunk in placed}
+            remaining = [c for c in remaining if c.chunk_id not in placed_ids]
+            if not remaining:
+                break
+        return remaining, generation
 
-    def _push_with_replication(self, chunk: Chunk, index: int) -> List[str]:
-        """Push ``chunk`` according to the configured write semantics."""
+    def _push_with_replication(self, chunks: Sequence[Chunk],
+                               slot: int) -> Dict[str, List[str]]:
+        """Push ``chunks`` according to the configured write semantics.
+
+        Replica *k* of every chunk goes to ``slot + k`` (rotating on
+        failure).  Returns ``chunk id -> holders``.
+        """
         copies_needed = (
             self.replication_level
             if self.config.write_semantics is WriteSemantics.PESSIMISTIC
             else 1
         )
-        holders: List[str] = []
-        start_slot = index  # round-robin by chunk index
-        while len(holders) < copies_needed:
-            entry, generation = self._push_once(
-                chunk, start_slot + len(holders), skip=holders
-            )
-            if entry is None:
-                self._refresh_stripe(generation)
-                continue
-            holders.append(entry["benefactor_id"])
+        holders: Dict[str, List[str]] = {chunk.chunk_id: [] for chunk in chunks}
+        for copy in range(copies_needed):
+            remaining = list(chunks)
+            while remaining:
+                remaining, generation = self._push_once(remaining, slot + copy, holders)
+                if remaining:
+                    self._refresh_stripe(generation)
             with self._lock:
-                self.stats.bytes_pushed += chunk.size
-                self.stats.chunks_pushed += 1
                 stripe_width = len(self._stripe)
-            if len(set(holders)) >= stripe_width and len(holders) < copies_needed:
-                # Narrow pools cannot hold more distinct replicas than nodes.
-                break
-        if not holders:
-            raise WriteFailedError(
-                f"chunk {chunk.chunk_id} could not be stored on any benefactor"
-            )
+            # Narrow pools cannot hold more distinct replicas than nodes.
+            chunks = [c for c in chunks if len(set(holders[c.chunk_id])) < stripe_width]
         return holders

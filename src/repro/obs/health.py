@@ -183,7 +183,6 @@ class ClusterHealthMonitor:
         """
         with self._lock:
             members = list(self._nodes.values())
-        transitions: List[HealthTransition] = []
         for node in members:
             self.probes_total += 1
             started = time.perf_counter()
@@ -199,9 +198,9 @@ class ClusterHealthMonitor:
                 self._probe_window.observe(elapsed)
             transition = self._apply_result(node, payload, failure, elapsed)
             if transition is not None:
-                transitions.append(transition)
-        for transition in transitions:
-            self._record_transition(transition)
+                # Recorded at once, so a slow probe of a later node does not
+                # delay the callback (e.g. a failover) for this one.
+                self._record_transition(transition)
         with self._lock:
             return {n.node_id: n.state for n in self._nodes.values()}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import ExitStack
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.obs import runtime, tracing
@@ -76,16 +76,27 @@ class Endpoint(ABC):
                 # histogram (lifetime distribution) and the windowed
                 # summary (recent p50/p99 for live SLOs).
                 elapsed = time.perf_counter() - started
+                for timer in self._rpc_timers(registry, method):
+                    timer.observe(elapsed)
+
+    def _rpc_timers(self, registry: Any, method: str) -> Tuple[Any, Any]:
+        """The per-method handling-latency series, bound once per method."""
+        cache = self.__dict__.setdefault("_rpc_timer_cache", {})
+        timers = cache.get(method)
+        if timers is None:
+            timers = cache[method] = (
                 registry.histogram(
                     "rpc_handled_seconds",
                     "Server-side RPC handling latency by method.",
                     labelnames=("method",),
-                ).labels(method=method).observe(elapsed)
+                ).labels(method=method),
                 registry.windowed_histogram(
                     "rpc_handled_seconds_window",
                     "Recent server-side RPC handling latency by method.",
                     labelnames=("method",),
-                ).labels(method=method).observe(elapsed)
+                ).labels(method=method),
+            )
+        return timers
 
 
 class Transport(ABC):

@@ -23,6 +23,7 @@ from typing import Any, Dict, Optional
 from repro.exceptions import EndpointUnreachableError, ProtocolError
 from repro.obs import runtime, tracing
 from repro.transport.base import Endpoint, Transport
+from repro.util.serving import PromptShutdownMixin
 
 _LENGTH = struct.Struct(">Q")
 
@@ -72,14 +73,14 @@ class _RequestHandler(socketserver.BaseRequestHandler):
                     return
 
 
-class _ThreadedTcpServer(socketserver.ThreadingTCPServer):
+class _ThreadedTcpServer(PromptShutdownMixin, socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._active: set = set()
-        self._active_lock = threading.Lock()
+        self._active_lock = threading.Condition()
 
     def process_request(self, request, client_address) -> None:
         with self._active_lock:
@@ -89,14 +90,17 @@ class _ThreadedTcpServer(socketserver.ThreadingTCPServer):
     def close_request(self, request) -> None:
         with self._active_lock:
             self._active.discard(request)
+            self._active_lock.notify_all()
         super().close_request(request)
 
-    def close_active_connections(self) -> None:
+    def close_active_connections(self, timeout: float = 5.0) -> None:
         """Sever every established connection (abrupt-crash semantics).
 
         Stopping the listener alone leaves pooled client sockets attached to
         live handler threads, so a "killed" endpoint would keep answering
-        RPCs over old connections — invisible to failure detectors.
+        RPCs over old connections — invisible to failure detectors.  Waits
+        (up to ``timeout``) until every handler has let go of its
+        connection, so nothing of the server outlives its stop.
         """
         with self._active_lock:
             active = list(self._active)
@@ -105,6 +109,8 @@ class _ThreadedTcpServer(socketserver.ThreadingTCPServer):
                 request.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        with self._active_lock:
+            self._active_lock.wait_for(lambda: not self._active, timeout)
 
 
 class TcpServer:
@@ -126,12 +132,21 @@ class TcpServer:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._server.close_active_connections()
+        """Stop serving and sever every established connection."""
+        self.request_stop()
+        self.finish_stop()
+
+    def request_stop(self) -> None:
+        """Wake the serve loop to exit; returns without waiting."""
+        self._server.request_shutdown()
+
+    def finish_stop(self) -> None:
+        """Wait for the serve loop, then close the listener and connections."""
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()
+        self._server.close_active_connections()
 
 
 class _ConnectionPool:
@@ -281,8 +296,12 @@ class TcpTransport(Transport):
             self._servers.clear()
         for pool in pools:
             pool.close()
+        # Wake every serve loop before waiting on any, so the servers stop
+        # together rather than one after another.
         for server in servers:
-            server.stop()
+            server.request_stop()
+        for server in servers:
+            server.finish_stop()
 
     def ensure_pool_capacity(self, limit: int) -> None:
         """Guarantee at least ``limit`` concurrent connections per endpoint.
