@@ -238,15 +238,15 @@ class SlidingWindowWriteSession(WriteSession):
 
     def write(self, data: bytes) -> int:
         self._require_open()
-        # The pusher flushes complete chunks eagerly, which bounds the memory
-        # footprint by one chunk; the configured window buffer additionally
-        # bounds how much the *simulated* deployment may have in flight.
+        # The pusher batches complete chunks and pushes a batch once it
+        # holds min(1 MiB, window_buffer_size); memory stays bounded by that
+        # batch (plus the in-flight window in parallel mode).
         self.pusher.feed(data)
         return len(data)
 
     def _drain(self) -> None:
-        # Nothing buffered beyond the trailing partial chunk, which
-        # ``ChunkPusher.finish`` flushes.
+        # Nothing buffered beyond the pusher's pending batch and trailing
+        # partial chunk, which ``ChunkPusher.finish`` flushes.
         return
 
 

@@ -33,15 +33,10 @@ from repro.obs.export import to_json, to_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.otlp import OtlpJsonlSpanExporter, otlp_resource_spans
 from repro.obs.tracing import SPAN_STORE, SpanStore
-from repro.util.serving import PromptShutdownMixin
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
-
-
-class _TelemetryServer(PromptShutdownMixin, ThreadingHTTPServer):
-    """The threaded HTTP server, stopped without waiting out a poll."""
 
 
 class _TelemetryHandler(BaseHTTPRequestHandler):
@@ -103,7 +98,7 @@ class ObsHttpServer:
         self.health_provider = health_provider
         self.span_store = span_store if span_store is not None else SPAN_STORE
         self.span_exporter = span_exporter
-        self._server = _TelemetryServer((host, port), _TelemetryHandler)
+        self._server = ThreadingHTTPServer((host, port), _TelemetryHandler)
         self._server.daemon_threads = True
         self._server.owner = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
@@ -138,11 +133,11 @@ class ObsHttpServer:
         return self
 
     def stop(self) -> None:
-        self._server.request_shutdown()
+        self._server.shutdown()
+        self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        self._server.server_close()
 
     # -- routes --------------------------------------------------------------
     def _metrics(self, query: str) -> tuple:

@@ -23,7 +23,6 @@ from typing import Any, Dict, Optional
 from repro.exceptions import EndpointUnreachableError, ProtocolError
 from repro.obs import runtime, tracing
 from repro.transport.base import Endpoint, Transport
-from repro.util.serving import PromptShutdownMixin
 
 _LENGTH = struct.Struct(">Q")
 
@@ -73,14 +72,14 @@ class _RequestHandler(socketserver.BaseRequestHandler):
                     return
 
 
-class _ThreadedTcpServer(PromptShutdownMixin, socketserver.ThreadingTCPServer):
+class _ThreadedTcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._active: set = set()
-        self._active_lock = threading.Condition()
+        self._active_lock = threading.Lock()
 
     def process_request(self, request, client_address) -> None:
         with self._active_lock:
@@ -90,17 +89,14 @@ class _ThreadedTcpServer(PromptShutdownMixin, socketserver.ThreadingTCPServer):
     def close_request(self, request) -> None:
         with self._active_lock:
             self._active.discard(request)
-            self._active_lock.notify_all()
         super().close_request(request)
 
-    def close_active_connections(self, timeout: float = 5.0) -> None:
+    def close_active_connections(self) -> None:
         """Sever every established connection (abrupt-crash semantics).
 
         Stopping the listener alone leaves pooled client sockets attached to
         live handler threads, so a "killed" endpoint would keep answering
-        RPCs over old connections — invisible to failure detectors.  Waits
-        (up to ``timeout``) until every handler has let go of its
-        connection, so nothing of the server outlives its stop.
+        RPCs over old connections — invisible to failure detectors.
         """
         with self._active_lock:
             active = list(self._active)
@@ -109,8 +105,6 @@ class _ThreadedTcpServer(PromptShutdownMixin, socketserver.ThreadingTCPServer):
                 request.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        with self._active_lock:
-            self._active_lock.wait_for(lambda: not self._active, timeout)
 
 
 class TcpServer:
@@ -132,21 +126,12 @@ class TcpServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving and sever every established connection."""
-        self.request_stop()
-        self.finish_stop()
-
-    def request_stop(self) -> None:
-        """Wake the serve loop to exit; returns without waiting."""
-        self._server.request_shutdown()
-
-    def finish_stop(self) -> None:
-        """Wait for the serve loop, then close the listener and connections."""
+        self._server.shutdown()
+        self._server.server_close()
+        self._server.close_active_connections()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        self._server.server_close()
-        self._server.close_active_connections()
 
 
 class _ConnectionPool:
@@ -296,12 +281,8 @@ class TcpTransport(Transport):
             self._servers.clear()
         for pool in pools:
             pool.close()
-        # Wake every serve loop before waiting on any, so the servers stop
-        # together rather than one after another.
         for server in servers:
-            server.request_stop()
-        for server in servers:
-            server.finish_stop()
+            server.stop()
 
     def ensure_pool_capacity(self, limit: int) -> None:
         """Guarantee at least ``limit`` concurrent connections per endpoint.

@@ -14,6 +14,9 @@ mid-write, client unscathed.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment
@@ -276,3 +279,38 @@ class TestTcpFailover:
                 answer = bundle.heartbeat.run_once()
                 assert answer is not None and answer["acknowledged"]
             assert len(promoted.registry.online()) == 2
+
+    def test_promotion_from_inside_a_handler_is_prompt(self, tmp_path):
+        # The ship hook runs in the primary's own RPC handler thread, so the
+        # kill inside promote_standby stops the server that is serving it:
+        # the stop must not wait for that handler (or for handlers blocked
+        # behind the lock the hook holds), which would take its full timeout.
+        config = sweep_config(journal_dir=str(tmp_path / "wal"))
+        with TcpDeployment(benefactor_count=3, config=config) as deployment:
+            deployment.add_standby("tcp-standby-0")
+            client = deployment.client("tcp-prompt")
+            state = {"count": 0, "promote_s": None}
+            promoted = threading.Event()
+
+            def hook(lsn, record):
+                state["count"] += 1
+                if state["count"] == 3 and not promoted.is_set():
+                    started = time.perf_counter()
+                    try:
+                        deployment.promote_standby(
+                            journal_dir=str(tmp_path / "promoted-wal")
+                        )
+                        state["promote_s"] = time.perf_counter() - started
+                    finally:
+                        promoted.set()
+                    raise EndpointUnreachableError("primary died mid-write")
+
+            deployment.manager.shipper.ship_hook = hook
+            data = make_bytes(6 * CHUNK, seed=36)
+            client.write_file("/grid/ckpt.N0.T1", data)
+            # The severed client can finish against the promoted standby
+            # before the hook has re-registered the benefactors.
+            assert promoted.wait(timeout=5)
+            assert state["promote_s"] is not None
+            assert state["promote_s"] < 2.0
+            assert client.read_file("/grid/ckpt.N0.T1") == data
